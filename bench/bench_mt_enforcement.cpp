@@ -1,28 +1,29 @@
 // Multi-threaded enforcement hot path: the AVC + snapshot-publication
-// optimisation, measured end to end at the rule-set level.
+// optimisation, measured end to end at the rule-set level on DfaRuleSet,
+// the engine SackModule enforces with.
 //
-// Three experiments, all driving the exact probe-then-match sequence
+// Four experiments, all driving the exact probe-then-match sequence
 // SackModule::check_op runs:
 //
 //  1. single-thread guarded steady state, AVC off vs on — the per-operation
-//     win of caching a verdict instead of re-walking glob rules (target:
-//     >= 3x at steady state);
+//     win of caching a verdict instead of re-running the table walk
+//     (target: >= 3x at steady state);
 //  2. throughput scaling over 1..8 threads on unguarded+cached traffic —
 //     the read path shares no mutable state beyond a sharded cache probe,
 //     so throughput should scale with cores (flat on a 1-core box);
 //  3. transition storms at Fig 3(b) frequencies (1..1000 transitions/sec)
 //     racing 4 enforcement threads — adaptive revocation pressure: every
-//     transition republishes the rule snapshot, bumps the generation, and
-//     flushes the AVC;
-//  4. the same per-stage and storm measurements with the table-driven
-//     DfaRuleSet — the post-storm AVC miss is a DFA table walk instead of a
-//     glob-rule scan, so storm throughput should stay within ~10% of steady
-//     state — plus the Table-III shape: the 1000-rule miss-path percentiles
-//     where the DFA's rule-count independence actually shows.
+//     transition republishes the active masks, bumps the generation, and
+//     flushes the AVC. Activation is a mask swap and every post-flush AVC
+//     miss re-runs only the table walk, so storm throughput should stay
+//     within ~10% of the 4-thread steady state;
+//  4. per-stage attribution (AVC probe vs table walk), plus the Table-III
+//     shape: the 1000-rule miss-path percentiles, where the DFA's
+//     rule-count independence shows against the reference interpreter's
+//     linear scan.
 //
 // Results print as a table and land in BENCH_mt.json (threads -> ops/sec,
-// AVC hit rate; long-standing field names are stable across PRs, DFA
-// results are additive fields).
+// AVC hit rate, per-stage percentiles).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -31,28 +32,25 @@
 #include <thread>
 #include <vector>
 
-#include <memory>
-
 #include "core/avc.h"
 #include "core/policy_parser.h"
 #include "core/ruleset.h"
 #include "simbench/policy_gen.h"
 #include "util/clock.h"
 #include "util/metrics.h"
+#include "verify/reference.h"
 
 namespace {
 
 using sack::Errno;
 using sack::core::AccessQuery;
 using sack::core::AccessVectorCache;
-using sack::core::CompiledRuleSet;
 using sack::core::DfaRuleSet;
 using sack::core::MacOp;
-using sack::core::RuleSetBase;
 
 // A glob-heavy policy: the shape where per-operation matching actually
-// hurts (literal rules are already one hash probe; glob rules are the
-// linear-scan tail every guarded *and* unguarded query pays).
+// hurts for a per-rule matcher (every glob is a scan step for guarded *and*
+// unguarded queries); the DFA folds all of them into one table.
 constexpr int kStreams = 32;
 constexpr int kTracksPerStream = 8;
 
@@ -78,11 +76,9 @@ std::string build_policy_text() {
 }
 
 // The same sequence as SackModule::check_op: read the generation, probe the
-// AVC, fall back to the rule walk, insert under the pre-read stamp. The
-// matcher behind the walk is pluggable so the compiled and DFA rule sets run
-// the identical harness.
+// AVC, fall back to the rule walk, insert under the pre-read stamp.
 struct Enforcer {
-  std::unique_ptr<RuleSetBase> rules;
+  DfaRuleSet rules;
   AccessVectorCache avc{8192};
   std::atomic<std::uint64_t> generation{1};
   bool use_avc = true;
@@ -92,7 +88,7 @@ struct Enforcer {
     if (use_avc) {
       if (auto cached = avc.probe(q, gen)) return *cached;
     }
-    Errno rc = rules->check(q);
+    Errno rc = rules.check(q);
     if (use_avc) avc.insert(q, gen, rc);
     return rc;
   }
@@ -178,7 +174,7 @@ StormResult run_storm(Enforcer& enf, int threads, int transitions_per_sec,
     while (!stop.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(period);
       parked = !parked;
-      enf.rules->activate(parked ? std::vector<std::string>{"PARKED_MEDIA"}
+      enf.rules.activate(parked ? std::vector<std::string>{"PARKED_MEDIA"}
                                  : std::vector<std::string>{"STREAMING"});
       enf.generation.fetch_add(1, std::memory_order_release);
       enf.avc.invalidate_all();
@@ -193,7 +189,7 @@ StormResult run_storm(Enforcer& enf, int threads, int transitions_per_sec,
   r.hit_rate = enf.avc.stats().hit_rate();
   r.transitions = transitions;
   // Restore the steady state for whoever runs next.
-  enf.rules->activate({"STREAMING"});
+  enf.rules.activate({"STREAMING"});
   enf.generation.fetch_add(1, std::memory_order_release);
   enf.avc.invalidate_all();
   return r;
@@ -224,7 +220,7 @@ void run_instrumented(Enforcer& enf, const std::vector<std::string>& paths,
     const std::uint64_t t1 = sack::monotonic_ns();
     h.probe_ns.record(t1 - t0);
     if (!cached) {
-      Errno rc = enf.rules->check(q);
+      Errno rc = enf.rules.check(q);
       const std::uint64_t t2 = sack::monotonic_ns();
       h.walk_ns.record(t2 - t1);
       enf.avc.insert(q, gen, rc);
@@ -245,9 +241,10 @@ int main() {
   }
 
   Enforcer enf;
-  enf.rules = std::make_unique<CompiledRuleSet>();
-  (void)enf.rules->load(parsed.policy);
-  enf.rules->activate({"STREAMING"});
+  (void)enf.rules.load(parsed.policy);
+  enf.rules.activate({"STREAMING"});
+  if (!enf.rules.table_driven())
+    std::fprintf(stderr, "warning: stream policy fell back to scan\n");
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
   constexpr int kDurationMs = 250;
@@ -292,8 +289,15 @@ int main() {
                 threads, ops, rate, ops / scaling.front().ops_per_sec);
   }
 
-  // (3) transition storms at Fig 3(b) frequencies.
-  std::printf("\ntransition storm (4 enforcement threads):\n");
+  // (3) transition storms at Fig 3(b) frequencies, against the 4-thread
+  // guarded steady state.
+  enf.avc.invalidate_all();
+  enf.avc.reset_stats();
+  (void)run_workload(enf, guarded, 4, 50);  // warm
+  const double steady_ops = run_workload(enf, guarded, 4, kDurationMs);
+  std::printf("\nguarded steady state (4 threads): %12.0f ops/s\n",
+              steady_ops);
+  std::printf("transition storm (4 enforcement threads):\n");
   struct StormPoint {
     int rate;
     StormResult result;
@@ -302,21 +306,21 @@ int main() {
   for (int rate : {1, 10, 100, 1000}) {
     auto r = run_storm(enf, 4, rate, kDurationMs);
     storms.push_back({rate, r});
-    std::printf("  %4d transitions/s: %12.0f ops/s  (avc hit rate %.3f, "
-                "%llu transitions taken)\n",
-                rate, r.ops_per_sec, r.hit_rate,
-                static_cast<unsigned long long>(r.transitions));
+    std::printf("  %4d transitions/s: %12.0f ops/s  (%.1f%% of steady, avc "
+                "hit rate %.3f, %llu transitions)\n",
+                rate, r.ops_per_sec, 100.0 * r.ops_per_sec / steady_ops,
+                r.hit_rate, static_cast<unsigned long long>(r.transitions));
   }
 
   std::printf(
-      "\nShape check: AVC-on guarded traffic should sit well above the\n"
-      "rule-walk baseline (every hit replaces a glob scan with one sharded\n"
-      "hash probe), throughput should grow with threads up to the core\n"
-      "count, and storms should degrade hit rate gracefully rather than\n"
-      "serve stale verdicts (correctness is covered by tests/test_avc.cpp).\n");
+      "\nShape check: AVC-on guarded traffic should sit above the table-walk\n"
+      "baseline (every hit replaces a DFA walk with one sharded hash probe),\n"
+      "throughput should grow with threads up to the core count, and storms\n"
+      "should degrade hit rate gracefully rather than serve stale verdicts\n"
+      "(correctness is covered by tests/test_avc.cpp).\n");
 
-  // Per-stage latency attribution (steady-state, single thread): where a
-  // check spends its time — the AVC probe vs the glob-rule walk.
+  // (4) per-stage latency attribution (steady-state, single thread): where
+  // a check spends its time — the AVC probe vs the table walk.
   enf.avc.invalidate_all();
   enf.avc.reset_stats();
   StageHistograms stages;
@@ -326,57 +330,17 @@ int main() {
   std::printf("  matcher_walk: %s\n", stages.walk_ns.summary().c_str());
   std::printf("  check_total:  %s\n", stages.total_ns.summary().c_str());
 
-  // (4) the table-driven matcher through the identical harness.
-  Enforcer dfa_enf;
-  {
-    auto dfa_rules = std::make_unique<DfaRuleSet>();
-    (void)dfa_rules->load(parsed.policy);
-    dfa_rules->activate({"STREAMING"});
-    if (!dfa_rules->table_driven())
-      std::fprintf(stderr, "warning: stream policy fell back to scan\n");
-    dfa_enf.rules = std::move(dfa_rules);
-  }
-
-  // Per-stage attribution with the DFA: matcher_walk becomes one table walk
-  // over the path plus mask intersections.
-  StageHistograms dfa_stages;
-  run_instrumented(dfa_enf, guarded, 200'000, dfa_stages);
-  std::printf("\nper-stage latency (dfa matcher, guarded, steady state):\n");
-  std::printf("  avc_probe:    %s\n", dfa_stages.probe_ns.summary().c_str());
-  std::printf("  dfa_match:    %s\n", dfa_stages.walk_ns.summary().c_str());
-  std::printf("  check_total:  %s\n", dfa_stages.total_ns.summary().c_str());
-
-  // DFA storm vs steady state: activation is a mask swap and every
-  // post-flush AVC miss re-runs only the table walk, so the worst storm
-  // should cost ~10% of throughput, not ~40%.
-  dfa_enf.avc.invalidate_all();
-  dfa_enf.avc.reset_stats();
-  (void)run_workload(dfa_enf, guarded, 4, 50);  // warm
-  const double dfa_steady_ops = run_workload(dfa_enf, guarded, 4, kDurationMs);
-  std::printf("\ndfa steady state (4 threads): %12.0f ops/s\n",
-              dfa_steady_ops);
-  std::printf("dfa transition storm (4 enforcement threads):\n");
-  std::vector<StormPoint> dfa_storms;
-  for (int rate : {1, 10, 100, 1000}) {
-    auto r = run_storm(dfa_enf, 4, rate, kDurationMs);
-    dfa_storms.push_back({rate, r});
-    std::printf("  %4d transitions/s: %12.0f ops/s  (%.1f%% of steady, avc "
-                "hit rate %.3f, %llu transitions)\n",
-                rate, r.ops_per_sec, 100.0 * r.ops_per_sec / dfa_steady_ops,
-                r.hit_rate,
-                static_cast<unsigned long long>(r.transitions));
-  }
-
   // Table-III shape: the 1000-rule policy's *miss* path — the number that
-  // motivates the DFA. No AVC: every check is a full decision.
-  auto table3_policy = sack::simbench::sack_policy_with_rules(1000, false);
+  // motivates the DFA. No AVC: every check is a full decision. The
+  // reference scan is ~1000x slower per query, so it is timed over fewer
+  // samples; its verdict per path is what every DFA query must reproduce.
+  const auto table3_policy = sack::simbench::sack_policy_with_rules(1000, false);
   DfaRuleSet dfa_1000;
-  dfa_1000.load(table3_policy);
+  (void)dfa_1000.load(table3_policy);
   dfa_1000.activate({"BULK"});
-  CompiledRuleSet compiled_1000;
-  compiled_1000.load(table3_policy);
-  compiled_1000.activate({"BULK"});
-  sack::util::LatencyHistogram dfa_miss_ns, compiled_miss_ns;
+  const sack::verify::ReferenceInterpreter reference_1000(table3_policy);
+  const std::vector<std::string> bulk = {"BULK"};
+  sack::util::LatencyHistogram dfa_miss_ns, reference_miss_ns;
   {
     std::vector<std::string> miss_paths;
     for (int i = 0; i < 64; ++i)
@@ -384,24 +348,28 @@ int main() {
     AccessQuery q;
     q.subject_exe = "/usr/bin/media_app";
     q.op = MacOp::read;
+    std::vector<Errno> want(miss_paths.size());
+    for (int n = 0; n < 2'048; ++n) {
+      const std::size_t p = static_cast<std::size_t>(n) % miss_paths.size();
+      q.object_path = miss_paths[p];
+      const std::uint64_t t0 = sack::monotonic_ns();
+      want[p] = reference_1000.decide_with_permissions(bulk, q);
+      reference_miss_ns.record(sack::monotonic_ns() - t0);
+    }
     for (int n = 0; n < 200'000; ++n) {
-      q.object_path = miss_paths[static_cast<std::size_t>(n) %
-                                 miss_paths.size()];
+      const std::size_t p = static_cast<std::size_t>(n) % miss_paths.size();
+      q.object_path = miss_paths[p];
       const std::uint64_t t0 = sack::monotonic_ns();
       Errno rc = dfa_1000.check(q);
-      const std::uint64_t t1 = sack::monotonic_ns();
-      Errno rc2 = compiled_1000.check(q);
-      const std::uint64_t t2 = sack::monotonic_ns();
-      dfa_miss_ns.record(t1 - t0);
-      compiled_miss_ns.record(t2 - t1);
-      if (rc != rc2) std::abort();  // the oracle's job, but never run blind
+      dfa_miss_ns.record(sack::monotonic_ns() - t0);
+      if (rc != want[p]) std::abort();  // the oracle's job, but never run blind
     }
   }
   std::printf("\n1000-rule miss path (no AVC):\n");
-  std::printf("  dfa check:      %s\n", dfa_miss_ns.summary().c_str());
-  std::printf("  compiled check: %s  (target: dfa p50 <= 300 ns %s)\n",
-              compiled_miss_ns.summary().c_str(),
+  std::printf("  dfa check:       %s  (target: dfa p50 <= 300 ns %s)\n",
+              dfa_miss_ns.summary().c_str(),
               dfa_miss_ns.percentile_ns(50) <= 300.0 ? "MET" : "MISSED");
+  std::printf("  reference check: %s\n", reference_miss_ns.summary().c_str());
 
   // Machine-readable trajectory for future PRs.
   std::ofstream json("BENCH_mt.json");
@@ -420,11 +388,15 @@ int main() {
          << ", \"avc_hit_rate\": " << scaling[i].hit_rate << "}"
          << (i + 1 < scaling.size() ? "," : "") << "\n";
   }
-  json << "  ],\n  \"transition_storm\": [\n";
+  json << "  ],\n  \"steady_ops_per_sec\": "
+       << static_cast<long long>(steady_ops) << ",\n"
+       << "  \"transition_storm\": [\n";
   for (std::size_t i = 0; i < storms.size(); ++i) {
     json << "    {\"transitions_per_sec\": " << storms[i].rate
          << ", \"threads\": 4, \"ops_per_sec\": "
          << static_cast<long long>(storms[i].result.ops_per_sec)
+         << ", \"fraction_of_steady\": "
+         << storms[i].result.ops_per_sec / steady_ops
          << ", \"avc_hit_rate\": " << storms[i].result.hit_rate
          << ", \"transitions_taken\": " << storms[i].result.transitions << "}"
          << (i + 1 < storms.size() ? "," : "") << "\n";
@@ -433,27 +405,9 @@ int main() {
        << "    \"avc_probe_ns\": " << stages.probe_ns.json() << ",\n"
        << "    \"matcher_walk_ns\": " << stages.walk_ns.json() << ",\n"
        << "    \"check_total_ns\": " << stages.total_ns.json() << "\n  },\n";
-  json << "  \"per_stage_dfa\": {\n"
-       << "    \"avc_probe_ns\": " << dfa_stages.probe_ns.json() << ",\n"
-       << "    \"dfa_match_ns\": " << dfa_stages.walk_ns.json() << ",\n"
-       << "    \"check_total_ns\": " << dfa_stages.total_ns.json()
-       << "\n  },\n";
-  json << "  \"dfa_steady_ops_per_sec\": "
-       << static_cast<long long>(dfa_steady_ops) << ",\n"
-       << "  \"transition_storm_dfa\": [\n";
-  for (std::size_t i = 0; i < dfa_storms.size(); ++i) {
-    json << "    {\"transitions_per_sec\": " << dfa_storms[i].rate
-         << ", \"threads\": 4, \"ops_per_sec\": "
-         << static_cast<long long>(dfa_storms[i].result.ops_per_sec)
-         << ", \"fraction_of_steady\": "
-         << dfa_storms[i].result.ops_per_sec / dfa_steady_ops
-         << ", \"avc_hit_rate\": " << dfa_storms[i].result.hit_rate
-         << ", \"transitions_taken\": " << dfa_storms[i].result.transitions
-         << "}" << (i + 1 < dfa_storms.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"dfa_miss_1000_rules\": {\n"
+  json << "  \"dfa_miss_1000_rules\": {\n"
        << "    \"dfa_check_ns\": " << dfa_miss_ns.json() << ",\n"
-       << "    \"compiled_check_ns\": " << compiled_miss_ns.json()
+       << "    \"reference_check_ns\": " << reference_miss_ns.json()
        << "\n  }\n";
   json << "}\n";
   std::printf("\nwrote BENCH_mt.json\n");

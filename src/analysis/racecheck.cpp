@@ -876,8 +876,8 @@ RacecheckResult run_racecheck_on_sources(
                   result.stats};
   checker.run();
 
-  // Two [rcu.*] specs may share a cell name (snap_ appears in two ruleset
-  // classes); passes over all functions then report the same site twice.
+  // Two [rcu.*] specs may share a cell name (one per class); passes over
+  // all functions then report the same site twice.
   std::set<std::string> seen;
   std::vector<Finding> unique;
   unique.reserve(result.findings.size());

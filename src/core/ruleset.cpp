@@ -1,10 +1,12 @@
 #include "core/ruleset.h"
 
+#include <atomic>
+
 #include "util/fault.h"
 
 namespace sack::core {
 
-namespace detail {
+namespace {
 
 bool subject_matches(const MacRule& rule, const AccessQuery& query) {
   switch (rule.subject_kind) {
@@ -19,154 +21,6 @@ bool subject_matches(const MacRule& rule, const AccessQuery& query) {
   return false;
 }
 
-}  // namespace detail
-
-// --- CompiledRuleSet ---
-
-CompiledRuleSet::CompiledRuleSet() {
-  // Never-null snapshot: readers skip a branch, and a check() before the
-  // first load() is simply "nothing guarded".
-  snap_.store(make_snapshot(std::make_shared<const LoadedPolicy>(), {}));
-}
-
-bool CompiledRuleSet::LoadedPolicy::guarded(
-    std::string_view object_path) const {
-  if (guard_literals.contains(object_path)) return true;
-  for (const Glob* g : guard_globs) {
-    if (g->matches(object_path)) return true;
-  }
-  return false;
-}
-
-Result<void> CompiledRuleSet::load(const SackPolicy& policy) {
-  if (auto err =
-          util::FaultInjector::instance().fail_errno("sack.ruleset.load"))
-    return *err;
-  auto base = std::make_shared<LoadedPolicy>();
-  base->policy = policy;  // own a copy: indexes borrow pointers into it
-
-  for (const auto& [perm, rules] : base->policy.per_rules) {
-    auto& slot = base->by_permission[perm];
-    for (const auto& rule : rules) {
-      slot.push_back(&rule);
-      ++base->total_rules;
-      if (rule.object.is_literal()) {
-        base->guard_literals.insert(rule.object.literal());
-      } else {
-        base->guard_globs.push_back(&rule.object);
-      }
-    }
-  }
-  snap_.store(make_snapshot(std::move(base), {}));
-  return {};
-}
-
-std::shared_ptr<const CompiledRuleSet::Snapshot> CompiledRuleSet::make_snapshot(
-    std::shared_ptr<const LoadedPolicy> base,
-    const std::vector<std::string>& permissions) {
-  auto snap = std::make_shared<Snapshot>();
-  for (const auto& perm : permissions) {
-    auto it = base->by_permission.find(perm);
-    if (it == base->by_permission.end()) continue;
-    for (const MacRule* rule : it->second) {
-      ++snap->active_rules;
-      snap->active_list.push_back(rule);
-      auto& tables = rule->effect == RuleEffect::allow ? snap->active_allow
-                                                       : snap->active_deny;
-      for (std::size_t i = 0; i < kMacOpCount; ++i) {
-        if (!has_any(rule->ops, mac_op_from_index(i))) continue;
-        if (rule->object.is_literal()) {
-          tables[i].literal[rule->object.literal()].push_back({rule});
-        } else {
-          tables[i].globs.push_back({rule});
-        }
-      }
-    }
-  }
-  snap->base = std::move(base);
-  return snap;
-}
-
-void CompiledRuleSet::activate(const std::vector<std::string>& permissions) {
-  // All rebuild work happens on this (control) thread against a private
-  // snapshot; readers see either the old or the new one, never a partial.
-  snap_.store(make_snapshot(snapshot()->base, permissions));
-}
-
-bool CompiledRuleSet::guarded(std::string_view object_path) const {
-  return snapshot()->base->guarded(object_path);
-}
-
-std::size_t CompiledRuleSet::total_rule_count() const {
-  return snapshot()->base->total_rules;
-}
-
-std::size_t CompiledRuleSet::active_rule_count() const {
-  return snapshot()->active_rules;
-}
-
-std::vector<const MacRule*> CompiledRuleSet::active_rules() const {
-  return snapshot()->active_list;
-}
-
-Errno CompiledRuleSet::check(const AccessQuery& query) const {
-  // One snapshot for the whole decision: guard set and active indexes are
-  // guaranteed mutually consistent, and stay alive until `snap` drops.
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  return decide(*snap, query);
-}
-
-void CompiledRuleSet::check_ops(std::span<const AccessQuery> queries,
-                                std::span<Errno> verdicts) const {
-  // One snapshot acquisition for the whole batch: every verdict is computed
-  // on the same consistent activation, and the RcuPtr load is paid once.
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    verdicts[i] = decide(*snap, queries[i]);
-}
-
-Errno CompiledRuleSet::decide(const Snapshot& snap, const AccessQuery& query) {
-  if (!snap.base->guarded(query.object_path)) return Errno::ok;
-
-  const std::size_t op = mac_op_index(query.op);
-  if (op >= kMacOpCount) return Errno::einval;
-
-  // Deny rules first: deny wins over any allow.
-  const OpTable& deny = snap.active_deny[op];
-  if (!deny.literal.empty()) {
-    auto it = deny.literal.find(query.object_path);
-    if (it != deny.literal.end()) {
-      for (const auto& r : it->second) {
-        if (detail::subject_matches(*r.rule, query)) return Errno::eacces;
-      }
-    }
-  }
-  for (const auto& r : deny.globs) {
-    if (r.rule->object.matches(query.object_path) &&
-        detail::subject_matches(*r.rule, query))
-      return Errno::eacces;
-  }
-
-  const OpTable& allow = snap.active_allow[op];
-  if (!allow.literal.empty()) {
-    auto it = allow.literal.find(query.object_path);
-    if (it != allow.literal.end()) {
-      for (const auto& r : it->second) {
-        if (detail::subject_matches(*r.rule, query)) return Errno::ok;
-      }
-    }
-  }
-  for (const auto& r : allow.globs) {
-    if (r.rule->object.matches(query.object_path) &&
-        detail::subject_matches(*r.rule, query))
-      return Errno::ok;
-  }
-  return Errno::eacces;  // guarded and not allowed in the current state
-}
-
-// --- DfaRuleSet (table-driven matcher) ---
-
-namespace {
 // Process-wide label-generation source. Labels are stamped onto inodes that
 // several module/rule-set instances can share (one VFS, stacked or test
 // fixtures side by side), and the inode cache keys on (module name, gen):
@@ -174,10 +28,12 @@ namespace {
 // a label resolved under another's rule numbering. A global counter makes
 // every load() generation unique across the process.
 std::atomic<std::uint64_t> g_label_gen{0};
+
 }  // namespace
 
-DfaRuleSet::DfaRuleSet() {
-  // Never-null snapshot, same contract as CompiledRuleSet.
+DfaRuleSet::DfaRuleSet(GlobDfa::BuildLimits limits) : build_limits_(limits) {
+  // Never-null snapshot: readers skip a branch, and a check() before the
+  // first load() is simply "nothing guarded".
   snap_.store(make_snapshot(std::make_shared<const Program>(), {}));
 }
 
@@ -217,17 +73,9 @@ Result<void> DfaRuleSet::load(const SackPolicy& policy) {
   for (const MacRule* rule : base->rules) patterns.push_back(&rule->object);
   if (!patterns.empty()) {
     auto dfa = GlobDfa::build(patterns, build_limits_);
-    if (dfa.ok()) {
-      base->dfa = std::move(dfa).value();
-    } else if (strict_build_) {
-      // Budget blown in strict mode: fail the load with nothing published.
-      // The generation counter was never touched; inode labels, the AVC,
-      // and the previous program all stay exactly as they were.
-      return dfa.error();
-    }
-    // else: budget blown — keep the scan fallback (correctness unchanged).
+    // Budget blown: keep the scan fallback (correctness unchanged).
+    if (dfa.ok()) base->dfa = std::move(dfa).value();
   }
-  base->empty_label = ObjectLabel(base->rules.size());
   base->label_gen =
       g_label_gen.fetch_add(1, std::memory_order_relaxed) + 1;  // never 0
   snap_.store(make_snapshot(std::move(base), {}));
@@ -260,6 +108,8 @@ std::shared_ptr<const DfaRuleSet::Snapshot> DfaRuleSet::make_snapshot(
 
 void DfaRuleSet::activate(const std::vector<std::string>& permissions) {
   // The DFA is untouched: a transition republishes only the active masks.
+  // All rebuild work happens on this (control) thread against a private
+  // snapshot; readers see either the old or the new one, never a partial.
   snap_.store(make_snapshot(snapshot()->base, permissions));
 }
 
@@ -279,44 +129,44 @@ Errno DfaRuleSet::decide(const Snapshot& snap, const AccessQuery& query,
   DenseBitset::for_each_and(label, snap.active_deny[op],
                             [&](std::size_t id) {
                               if (!denied &&
-                                  detail::subject_matches(*rules[id], query))
+                                  subject_matches(*rules[id], query))
                                 denied = true;
                             });
   if (denied) return Errno::eacces;
   DenseBitset::for_each_and(label, snap.active_allow[op],
                             [&](std::size_t id) {
                               if (verdict != Errno::ok &&
-                                  detail::subject_matches(*rules[id], query))
+                                  subject_matches(*rules[id], query))
                                 verdict = Errno::ok;
                             });
   return verdict;  // guarded and not allowed in the current state: EACCES
 }
 
-Errno DfaRuleSet::check(const AccessQuery& query) const {
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  const Program& prog = *snap->base;
+Errno DfaRuleSet::decide(const Snapshot& snap, const AccessQuery& query) {
+  const Program& prog = *snap.base;
   if (prog.dfa) {
     // One pass over the path; the accept mask is a reference into the DFA —
     // the whole decision is allocation-free.
-    return decide(*snap, query, prog.dfa->match(query.object_path));
+    return decide(snap, query, prog.dfa->match(query.object_path));
   }
   auto label = prog.resolve(query.object_path);
-  return decide(*snap, query, *label);
+  return decide(snap, query, *label);
+}
+
+Errno DfaRuleSet::check(const AccessQuery& query) const {
+  // One snapshot for the whole decision: guard set and active masks are
+  // mutually consistent, and stay alive until `snap` drops.
+  const std::shared_ptr<const Snapshot> snap = snapshot();
+  return decide(*snap, query);
 }
 
 void DfaRuleSet::check_ops(std::span<const AccessQuery> queries,
                            std::span<Errno> verdicts) const {
+  // One snapshot acquisition for the whole batch: every verdict is computed
+  // on the same consistent activation, and the RcuPtr load is paid once.
   const std::shared_ptr<const Snapshot> snap = snapshot();
-  const Program& prog = *snap->base;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (prog.dfa) {
-      verdicts[i] =
-          decide(*snap, queries[i], prog.dfa->match(queries[i].object_path));
-    } else {
-      auto label = prog.resolve(queries[i].object_path);
-      verdicts[i] = decide(*snap, queries[i], *label);
-    }
-  }
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    verdicts[i] = decide(*snap, queries[i]);
 }
 
 bool DfaRuleSet::guarded(std::string_view object_path) const {
@@ -343,9 +193,9 @@ Errno DfaRuleSet::check_labeled(const AccessQuery& query,
                                 std::uint64_t generation) const {
   const std::shared_ptr<const Snapshot> snap = snapshot();
   // A label carries bit indices of the Program it was resolved under; if a
-  // load() republished since, the numbering is stale — recompute instead of
-  // intersecting apples with oranges.
-  if (snap->base->label_gen != generation) return check(query);
+  // load() republished since, the numbering is stale — recompute on this
+  // same snapshot instead of intersecting apples with oranges.
+  if (snap->base->label_gen != generation) return decide(*snap, query);
   return decide(*snap, query, label);
 }
 
@@ -363,55 +213,6 @@ std::vector<const MacRule*> DfaRuleSet::active_rules() const {
 
 bool DfaRuleSet::table_driven() const {
   return snapshot()->base->dfa.has_value();
-}
-
-// --- LinearRuleSet (ablation baseline) ---
-
-Result<void> LinearRuleSet::load(const SackPolicy& policy) {
-  if (auto err =
-          util::FaultInjector::instance().fail_errno("sack.ruleset.load"))
-    return *err;
-  policy_ = policy;
-  active_.clear();
-  return {};
-}
-
-void LinearRuleSet::activate(const std::vector<std::string>& permissions) {
-  active_.clear();
-  for (const auto& perm : permissions) {
-    auto it = policy_.per_rules.find(perm);
-    if (it == policy_.per_rules.end()) continue;
-    for (const auto& rule : it->second) active_.push_back(&rule);
-  }
-}
-
-bool LinearRuleSet::guarded(std::string_view object_path) const {
-  // Naive: scan every rule of every permission.
-  for (const auto& [perm, rules] : policy_.per_rules) {
-    for (const auto& rule : rules) {
-      if (rule.object.matches(object_path)) return true;
-    }
-  }
-  return false;
-}
-
-std::size_t LinearRuleSet::total_rule_count() const {
-  std::size_t n = 0;
-  for (const auto& [perm, rules] : policy_.per_rules) n += rules.size();
-  return n;
-}
-
-Errno LinearRuleSet::check(const AccessQuery& query) const {
-  if (!guarded(query.object_path)) return Errno::ok;
-  bool allowed = false;
-  for (const MacRule* rule : active_) {
-    if (!has_any(rule->ops, query.op)) continue;
-    if (!rule->object.matches(query.object_path)) continue;
-    if (!detail::subject_matches(*rule, query)) continue;
-    if (rule->effect == RuleEffect::deny) return Errno::eacces;
-    allowed = true;
-  }
-  return allowed ? Errno::ok : Errno::eacces;
 }
 
 }  // namespace sack::core

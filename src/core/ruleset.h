@@ -1,24 +1,21 @@
-// Rule-set compilation for independent SACK enforcement.
+// The rule engine for independent SACK enforcement.
 //
 // Independent SACK is deny-by-default over *guarded* objects: a path is
 // guarded if any rule anywhere in the loaded policy names it. Access to a
 // guarded path is allowed only by the rules mapped from the *current*
 // situation state (State_Per ∘ Per_Rules, Algorithm 1's g(f(SS_current))).
 // Unguarded paths are untouched — that check is the per-operation hot path,
-// so it is a literal hash probe plus a scan of the (few) non-literal globs.
+// so it is one table walk over the path bytes.
 //
-// Two implementations share an interface so the matcher ablation bench can
-// compare them: CompiledRuleSet (indexes, the real thing) and LinearRuleSet
-// (naive full scan, what a straightforward port would do).
+// verify/reference.h transliterates the same decision naively; the
+// differential oracle and the property tests hold this engine to it.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "core/mac_ops.h"
@@ -44,155 +41,6 @@ struct AccessQuery {
 // label survives activate() and is what the per-inode cache stores.
 using ObjectLabel = DenseBitset;
 
-class RuleSetBase {
- public:
-  virtual ~RuleSetBase() = default;
-
-  // Loads the full policy's rule inventory (builds the guard set).
-  // Transactional: on failure the previously published snapshot, activation,
-  // and label generation are untouched — every decision is computed exactly
-  // as before the attempt. Implementations build everything off to the side
-  // and publish only as the final step.
-  virtual Result<void> load(const SackPolicy& policy) = 0;
-
-  // Activates the rules of exactly these permissions (APE, on transition).
-  virtual void activate(const std::vector<std::string>& permissions) = 0;
-
-  // The decision: OK for unguarded objects, otherwise allow iff an active
-  // allow rule matches and no active deny rule does.
-  virtual Errno check(const AccessQuery& query) const = 0;
-
-  // Batch decision: verdicts[i] = check(queries[i]), with snapshot
-  // acquisition amortized across the batch by implementations that publish
-  // snapshots. `verdicts.size()` must be >= `queries.size()`.
-  virtual void check_ops(std::span<const AccessQuery> queries,
-                         std::span<Errno> verdicts) const {
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      verdicts[i] = check(queries[i]);
-  }
-
-  virtual bool guarded(std::string_view object_path) const = 0;
-
-  // --- pre-resolved object labels (per-inode caching) ---
-  // label_generation() identifies the rule numbering labels are valid for;
-  // it changes on every load() and never on activate() (a label records
-  // which *loaded* rules match, not which are active). Zero means the
-  // implementation does not support labels — callers skip the cache.
-  virtual std::uint64_t label_generation() const { return 0; }
-  // Resolves the label for a path, or nullptr when unsupported. The result
-  // owns its storage — it stays valid across load() without pinning the
-  // retired rule tables it was computed from — but is only *meaningful*
-  // while label_generation() still returns the value observed at resolve
-  // time.
-  virtual std::shared_ptr<const ObjectLabel> resolve_label(
-      std::string_view /*path*/) const {
-    return nullptr;
-  }
-  // The decision given a pre-resolved label computed under `generation`.
-  // Implementations must fall back to a full check when `generation` is not
-  // the current label generation (the label's bit numbering is stale).
-  virtual Errno check_labeled(const AccessQuery& query,
-                              const ObjectLabel& /*label*/,
-                              std::uint64_t /*generation*/) const {
-    return check(query);
-  }
-
-  virtual std::size_t total_rule_count() const = 0;
-  virtual std::size_t active_rule_count() const = 0;
-
-  // Enumeration hook for analysis tooling (the verify subsystem's
-  // differential oracle cross-checks this against State_Per ∘ Per_Rules):
-  // the rules the current activation actually enforces, in no particular
-  // order. Pointers stay valid until the next load().
-  virtual std::vector<const MacRule*> active_rules() const = 0;
-};
-
-namespace detail {
-// One rule with its owning permission resolved.
-struct OwnedRule {
-  const MacRule* rule;
-  std::string permission;
-};
-
-bool subject_matches(const MacRule& rule, const AccessQuery& query);
-}  // namespace detail
-
-// Read-mostly, concurrency-safe rule set. Readers (`check`/`guarded`, every
-// LSM hook) grab one atomically-published shared_ptr to an immutable
-// Snapshot and work entirely off it. Writers (`load` on policy replacement,
-// `activate` on situation transition) build a *fresh* snapshot off the read
-// path and publish it with a single atomic swap — the RCU read-mostly
-// pattern (see util/rcu_ptr.h for why the publication cell is hand-rolled
-// rather than std::atomic<std::shared_ptr>). Readers mid-check keep the old
-// snapshot alive through their shared_ptr; it is destroyed when the last
-// one drops it. Writers are the control plane (policy load, situation
-// transitions) and are assumed serialized with respect to each other, as in
-// the kernel.
-class CompiledRuleSet final : public RuleSetBase {
- public:
-  CompiledRuleSet();
-  // Non-copyable/movable: the snapshots hold raw pointers into the shared
-  // LoadedPolicy; identity matters.
-  CompiledRuleSet(const CompiledRuleSet&) = delete;
-  CompiledRuleSet& operator=(const CompiledRuleSet&) = delete;
-
-  Result<void> load(const SackPolicy& policy) override;
-  void activate(const std::vector<std::string>& permissions) override;
-  Errno check(const AccessQuery& query) const override;
-  void check_ops(std::span<const AccessQuery> queries,
-                 std::span<Errno> verdicts) const override;
-  bool guarded(std::string_view object_path) const override;
-  std::size_t total_rule_count() const override;
-  std::size_t active_rule_count() const override;
-  std::vector<const MacRule*> active_rules() const override;
-
- private:
-  struct ActiveRule {
-    const MacRule* rule;
-  };
-  struct OpTable {
-    // Literal object path -> rules naming exactly that path.
-    StringMap<std::vector<ActiveRule>> literal;
-    std::vector<ActiveRule> globs;
-  };
-
-  // Everything derived from one load(): the policy copy that owns the rule
-  // storage, the guard inventory, and the permission -> rules grouping.
-  // Immutable once built; shared by every snapshot activated from it.
-  struct LoadedPolicy {
-    SackPolicy policy;  // owns the rules the pointers below point into
-    std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
-        guard_literals;
-    std::vector<const Glob*> guard_globs;
-    StringMap<std::vector<const MacRule*>> by_permission;
-    std::size_t total_rules = 0;
-
-    bool guarded(std::string_view object_path) const;
-  };
-
-  // One activation: the per-op active-rule indexes for a permission set,
-  // denies separated so the precedence scan touches them first. Keeps its
-  // base alive so the borrowed rule pointers stay valid even if a concurrent
-  // load() republished.
-  struct Snapshot {
-    std::shared_ptr<const LoadedPolicy> base;
-    std::vector<OpTable> active_allow = std::vector<OpTable>(kMacOpCount);
-    std::vector<OpTable> active_deny = std::vector<OpTable>(kMacOpCount);
-    std::size_t active_rules = 0;
-    // Flat activation inventory for the enumeration hook (off the hot path).
-    std::vector<const MacRule*> active_list;
-  };
-
-  static std::shared_ptr<const Snapshot> make_snapshot(
-      std::shared_ptr<const LoadedPolicy> base,
-      const std::vector<std::string>& permissions);
-  static Errno decide(const Snapshot& snap, const AccessQuery& query);
-
-  std::shared_ptr<const Snapshot> snapshot() const { return snap_.load(); }
-
-  RcuPtr<const Snapshot> snap_;
-};
-
 // Table-driven rule set: the whole loaded rule inventory compiles into one
 // GlobDfa whose accepting states carry per-rule bitmasks, so a miss-path
 // decision is a single pass over the path bytes followed by mask
@@ -202,44 +50,81 @@ class CompiledRuleSet final : public RuleSetBase {
 // storms cheap — a post-storm AVC miss re-runs the table walk (or skips even
 // that via a cached inode label), not a rule-set walk.
 //
-// Concurrency follows CompiledRuleSet: immutable Program (per load) and
-// Snapshot (per activation) published through RcuPtr. If the pattern set is
-// pathological enough to blow the DFA construction budget, the Program
-// keeps a per-rule scan fallback — decisions stay correct, only the speed
-// claim degrades.
-class DfaRuleSet final : public RuleSetBase {
+// Read-mostly and concurrency-safe. Readers (`check`/`guarded`, every LSM
+// hook) grab one atomically-published shared_ptr to an immutable Snapshot
+// and work entirely off it. Writers (`load` on policy replacement,
+// `activate` on situation transition) build a fresh Program (per load) or
+// Snapshot (per activation) off the read path and publish it with a single
+// swap — the RCU read-mostly pattern (see util/rcu_ptr.h for why the
+// publication cell is hand-rolled rather than std::atomic<std::shared_ptr>).
+// Readers mid-check keep the old snapshot alive through their shared_ptr.
+// Writers are the control plane and are assumed serialized with respect to
+// each other, as in the kernel.
+//
+// If the pattern set is pathological enough to blow the DFA construction
+// budget, the Program keeps a per-rule scan fallback — decisions stay
+// correct, only the speed claim degrades.
+class DfaRuleSet {
  public:
-  DfaRuleSet();
+  // `limits` bounds the DFA each load() builds; the default budget covers
+  // every shipped policy. Tests pass a tiny budget to force the scan.
+  explicit DfaRuleSet(GlobDfa::BuildLimits limits = {});
+  // Non-copyable/movable: the snapshots hold raw pointers into the owned
+  // policy copy; identity matters.
   DfaRuleSet(const DfaRuleSet&) = delete;
   DfaRuleSet& operator=(const DfaRuleSet&) = delete;
 
-  Result<void> load(const SackPolicy& policy) override;
-  void activate(const std::vector<std::string>& permissions) override;
-  Errno check(const AccessQuery& query) const override;
+  // Loads the full policy's rule inventory (builds the guard set).
+  // Transactional: on failure the previously published snapshot, activation,
+  // and label generation are untouched — every decision is computed exactly
+  // as before the attempt. Everything is built off to the side and published
+  // only as the final step.
+  Result<void> load(const SackPolicy& policy);
+
+  // Activates the rules of exactly these permissions (APE, on transition).
+  void activate(const std::vector<std::string>& permissions);
+
+  // The decision: OK for unguarded objects, otherwise allow iff an active
+  // allow rule matches and no active deny rule does.
+  Errno check(const AccessQuery& query) const;
+
+  // Batch decision: verdicts[i] = check(queries[i]), every verdict computed
+  // on one snapshot. `verdicts.size()` must be >= `queries.size()`.
   void check_ops(std::span<const AccessQuery> queries,
-                 std::span<Errno> verdicts) const override;
-  bool guarded(std::string_view object_path) const override;
-  std::uint64_t label_generation() const override;
+                 std::span<Errno> verdicts) const;
+
+  bool guarded(std::string_view object_path) const;
+
+  // --- pre-resolved object labels (per-inode caching) ---
+  // label_generation() identifies the rule numbering labels are valid for;
+  // it changes on every load() and never on activate() (a label records
+  // which *loaded* rules match, not which are active). Zero only before the
+  // first successful load().
+  std::uint64_t label_generation() const;
+  // Resolves the label for a path. The result owns its storage — it stays
+  // valid across load() without pinning the retired rule tables it was
+  // computed from — but is only *meaningful* while label_generation() still
+  // returns the value observed at resolve time.
   std::shared_ptr<const ObjectLabel> resolve_label(
-      std::string_view path) const override;
+      std::string_view path) const;
+  // The decision given a pre-resolved label computed under `generation`.
+  // Falls back to a full decision on the same snapshot when `generation` is
+  // not the current label generation (the label's bit numbering is stale).
   Errno check_labeled(const AccessQuery& query, const ObjectLabel& label,
-                      std::uint64_t generation) const override;
-  std::size_t total_rule_count() const override;
-  std::size_t active_rule_count() const override;
-  std::vector<const MacRule*> active_rules() const override;
+                      std::uint64_t generation) const;
+
+  std::size_t total_rule_count() const;
+  std::size_t active_rule_count() const;
+
+  // Enumeration hook for analysis tooling (the verify subsystem's
+  // differential oracle cross-checks this against State_Per ∘ Per_Rules):
+  // the rules the current activation actually enforces, in no particular
+  // order. Pointers stay valid until the next load().
+  std::vector<const MacRule*> active_rules() const;
 
   // True when the loaded rules determinized within budget (the table path);
   // false on the scan fallback. Surfaced for tests and status reporting.
   bool table_driven() const;
-
-  // Build-budget policy for the *next* load(). By default a budget blowout
-  // silently degrades to the per-rule scan fallback; in strict mode it fails
-  // the load with ENOMEM instead, leaving the previous program published —
-  // what a transactional control plane wants.
-  void set_build_limits(GlobDfa::BuildLimits limits, bool strict = false) {
-    build_limits_ = limits;
-    strict_build_ = strict;
-  }
 
  private:
   // Everything derived from one load(): the owning policy copy, the dense
@@ -251,7 +136,6 @@ class DfaRuleSet final : public RuleSetBase {
     StringMap<std::vector<std::uint32_t>> by_permission;
     std::optional<GlobDfa> dfa;  // nullopt: scan fallback
     std::uint64_t label_gen = 0;
-    ObjectLabel empty_label;  // returned for paths no rule matches (scan path)
 
     // The activation-independent half of a decision. The returned label
     // owns its bits: callers park these on inodes for arbitrarily long, so
@@ -271,33 +155,16 @@ class DfaRuleSet final : public RuleSetBase {
   static std::shared_ptr<const Snapshot> make_snapshot(
       std::shared_ptr<const Program> base,
       const std::vector<std::string>& permissions);
+  // The full decision on one pinned snapshot: resolve the path's label
+  // (table walk, or the scan fallback), then decide on it.
+  static Errno decide(const Snapshot& snap, const AccessQuery& query);
   static Errno decide(const Snapshot& snap, const AccessQuery& query,
                       const ObjectLabel& label);
 
   std::shared_ptr<const Snapshot> snapshot() const { return snap_.load(); }
 
   RcuPtr<const Snapshot> snap_;
-  GlobDfa::BuildLimits build_limits_{};
-  bool strict_build_ = false;
-};
-
-class LinearRuleSet final : public RuleSetBase {
- public:
-  LinearRuleSet() = default;
-  LinearRuleSet(const LinearRuleSet&) = delete;  // active_ points into policy_
-  LinearRuleSet& operator=(const LinearRuleSet&) = delete;
-
-  Result<void> load(const SackPolicy& policy) override;
-  void activate(const std::vector<std::string>& permissions) override;
-  Errno check(const AccessQuery& query) const override;
-  bool guarded(std::string_view object_path) const override;
-  std::size_t total_rule_count() const override;
-  std::size_t active_rule_count() const override { return active_.size(); }
-  std::vector<const MacRule*> active_rules() const override { return active_; }
-
- private:
-  SackPolicy policy_;
-  std::vector<const MacRule*> active_;
+  const GlobDfa::BuildLimits build_limits_;
 };
 
 }  // namespace sack::core

@@ -304,30 +304,9 @@ class SackModule::TraceEnableFile final : public kernel::VirtualFileOps {
 
 // --- module ---
 
-SackModule::SackModule(SackMode mode, RuleSetKind ruleset_kind)
-    : mode_(mode) {
-  switch (ruleset_kind) {
-    case RuleSetKind::compiled:
-      rules_ = std::make_unique<CompiledRuleSet>();
-      break;
-    case RuleSetKind::linear:
-      rules_ = std::make_unique<LinearRuleSet>();
-      break;
-    case RuleSetKind::dfa:
-      rules_ = std::make_unique<DfaRuleSet>();
-      break;
-  }
-}
+SackModule::SackModule(SackMode mode) : mode_(mode) {}
 
 SackModule::~SackModule() = default;
-
-bool SackModule::set_dfa_build_limits(GlobDfa::BuildLimits limits,
-                                      bool strict) {
-  auto* dfa = dynamic_cast<DfaRuleSet*>(rules_.get());
-  if (!dfa) return false;
-  dfa->set_build_limits(limits, strict);
-  return true;
-}
 
 void SackModule::initialize(kernel::Kernel& kernel) {
   kernel_ = &kernel;
@@ -383,10 +362,10 @@ Result<void> SackModule::load_policy(SackPolicy policy,
 
   // Last fallible step: compile the rule inventory. The rule set itself is
   // transactional (it publishes only as its final step), so a failure here —
-  // strict DFA budget ENOMEM, injected build fault — leaves the previous
-  // program, its label generation, the AVC, and every cached inode label
-  // exactly as they were: zero decisions change.
-  if (auto compiled = rules_->load(policy); !compiled.ok())
+  // an injected build fault — leaves the previous program, its label
+  // generation, the AVC, and every cached inode label exactly as they were:
+  // zero decisions change.
+  if (auto compiled = rules_.load(policy); !compiled.ok())
     return compiled.error();
 
   // Commit point: retract what the old policy injected, swap, re-apply.
@@ -416,7 +395,7 @@ Result<void> SackModule::load_policy(SackPolicy policy,
   if (transition_listener_) transition_listener_(ssm_->current_name());
   log_info("sack: policy loaded: ", policy_.states.size(), " states, ",
            policy_.permissions.size(), " permissions, ",
-           rules_->total_rule_count(), " MAC rules, initial state '",
+           rules_.total_rule_count(), " MAC rules, initial state '",
            ssm_->current_name(), "'");
   return {};
 }
@@ -585,7 +564,7 @@ void SackModule::apply_current_state(bool force) {
     // 3. flush the AVC. Entries inserted before the flush are gone; a racing
     //    insert computed on the old snapshot carries the old generation
     //    stamp and can never be served after the bump.
-    rules_->activate(perms);
+    rules_.activate(perms);
     generation_.fetch_add(1, std::memory_order_release);
     avc_.invalidate_all();
     return;
@@ -654,8 +633,8 @@ std::string SackModule::status_text() const {
   out += "\nresyncs: " + std::to_string(resyncs_);
   out += "\nheartbeats_received: " + std::to_string(heartbeats_received_);
   out += "\ngeneration: " + std::to_string(policy_generation());
-  out += "\ntotal_rules: " + std::to_string(rules_->total_rule_count());
-  out += "\nactive_rules: " + std::to_string(rules_->active_rule_count());
+  out += "\ntotal_rules: " + std::to_string(rules_.total_rule_count());
+  out += "\nactive_rules: " + std::to_string(rules_.active_rule_count());
   out += "\ndenials: " + std::to_string(denial_count());
   const auto avc = avc_.stats();
   out += "\navc_enabled: ";
@@ -850,32 +829,28 @@ Errno SackModule::check_op(const Task& task, std::string_view path, MacOp op,
   }
   const std::uint64_t t_probe = obs ? monotonic_ns() : 0;
   if (!avc_hit) {
-    // Pre-resolved label fast path: when the rule set supports labels and
-    // the hook has an inode, the activation-independent half of the decision
-    // ("which loaded rules name this path") is cached on the inode — an AVC
-    // miss then costs only mask intersections, not a matcher walk. The label
-    // generation is read before resolving; if a policy load lands in
-    // between, check_labeled sees the stale stamp and recomputes. The probe
-    // is keyed on the path too: a hard-linked inode reached under another
-    // name, or an inode re-checked after rename, misses and re-resolves
-    // rather than reusing a label that encodes a different name's rules.
-    bool labeled = false;
+    // Pre-resolved label fast path: when the hook has an inode, the
+    // activation-independent half of the decision ("which loaded rules name
+    // this path") is cached on the inode — an AVC miss then costs only mask
+    // intersections, not a matcher walk. The label generation is read
+    // before resolving; if a policy load lands in between, check_labeled
+    // sees the stale stamp and recomputes. The probe is keyed on the path
+    // too: a hard-linked inode reached under another name, or an inode
+    // re-checked after rename, misses and re-resolves rather than reusing a
+    // label that encodes a different name's rules.
     if (inode != nullptr) {
-      if (const std::uint64_t label_gen = rules_->label_generation();
-          label_gen != 0) {
-        if (auto cached = inode->mac_label(kName, label_gen, path)) {
-          rc = rules_->check_labeled(
-              query, *static_cast<const ObjectLabel*>(cached.get()),
-              label_gen);
-          labeled = true;
-        } else if (auto label = rules_->resolve_label(path)) {
-          rc = rules_->check_labeled(query, *label, label_gen);
-          inode->mac_label_store(kName, label_gen, path, std::move(label));
-          labeled = true;
-        }
+      const std::uint64_t label_gen = rules_.label_generation();
+      if (auto cached = inode->mac_label(kName, label_gen, path)) {
+        rc = rules_.check_labeled(
+            query, *static_cast<const ObjectLabel*>(cached.get()), label_gen);
+      } else {
+        auto label = rules_.resolve_label(path);
+        rc = rules_.check_labeled(query, *label, label_gen);
+        inode->mac_label_store(kName, label_gen, path, std::move(label));
       }
+    } else {
+      rc = rules_.check(query);
     }
-    if (!labeled) rc = rules_->check(query);
     if (avc_enabled_) avc_.insert(query, generation, rc);
   }
   // Denials audit on every occurrence, cached or not — the AVC caches the
@@ -957,7 +932,7 @@ void SackModule::check_ops(const kernel::Task& task,
     misses.reserve(miss_index.size());
     for (std::size_t i : miss_index) misses.push_back(queries[i]);
     std::vector<Errno> miss_verdicts(misses.size());
-    rules_->check_ops(misses, miss_verdicts);
+    rules_.check_ops(misses, miss_verdicts);
     for (std::size_t m = 0; m < miss_index.size(); ++m) {
       verdicts[miss_index[m]] = miss_verdicts[m];
       if (avc_enabled_)

@@ -3,7 +3,7 @@
 // Two deployment modes, matching §III-E.3:
 //
 //  * SackMode::independent — SACK enforces its own MAC rules. The APE keeps
-//    a compiled rule set activated for the current situation state; LSM
+//    its rule engine (DfaRuleSet) activated for the current situation; LSM
 //    hooks consult it. Guarded objects are deny-by-default (POLP), and a
 //    situation transition re-activates the rule set and bumps the policy
 //    generation so even already-open fds are re-validated (OAC: permissions
@@ -58,19 +58,12 @@ namespace sack::core {
 
 enum class SackMode : std::uint8_t { independent, apparmor_enhanced };
 
-// Which RuleSetBase implementation backs enforcement. `dfa` (the default)
-// compiles the loaded globs into one table-driven automaton with pre-
-// resolvable object labels; `compiled` is the indexed per-rule matcher it
-// replaced; `linear` is the naive-scan ablation baseline.
-enum class RuleSetKind : std::uint8_t { compiled, linear, dfa };
-
 class SackModule final : public kernel::SecurityModule {
  public:
   static constexpr std::string_view kName = "sack";
   static constexpr std::string_view kFsDir = "SACK";  // as in the paper
 
-  explicit SackModule(SackMode mode,
-                      RuleSetKind ruleset_kind = RuleSetKind::dfa);
+  explicit SackModule(SackMode mode);
 
   // Ablation hook: disable the per-file revalidation cache so every
   // file_permission check re-runs the full rule match (what a naive port
@@ -161,13 +154,7 @@ class SackModule final : public kernel::SecurityModule {
   std::uint64_t denial_count() const {
     return denials_.load(std::memory_order_relaxed);
   }
-  const RuleSetBase& ruleset() const { return *rules_; }
-
-  // Strict DFA build budget for subsequent load_policy() calls (dfa rule-set
-  // kind only; returns false otherwise). In strict mode a budget blowout
-  // fails the load with ENOMEM instead of degrading to the scan fallback —
-  // and, like every other load_policy failure, changes zero decisions.
-  bool set_dfa_build_limits(GlobDfa::BuildLimits limits, bool strict);
+  const DfaRuleSet& ruleset() const { return rules_; }
 
   // Batch enforcement: decides queries[i] for `task`, writing verdicts[i].
   // Fills each query's subject fields in place from the task (callers set
@@ -269,7 +256,7 @@ class SackModule final : public kernel::SecurityModule {
   std::function<void(std::string_view)> transition_listener_;
   bool revalidate_cache_ = true;
   bool avc_enabled_ = true;
-  std::unique_ptr<RuleSetBase> rules_;
+  DfaRuleSet rules_;
   AccessVectorCache avc_;
   SackPolicy policy_;
   bool loaded_ = false;

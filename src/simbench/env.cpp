@@ -60,7 +60,7 @@ BenchEnv::BenchEnv(EnvOptions options) {
                     ? core::SackMode::apparmor_enhanced
                     : core::SackMode::independent;
     sack_ = static_cast<core::SackModule*>(kernel_->add_lsm(
-        std::make_unique<core::SackModule>(mode, options.ruleset)));
+        std::make_unique<core::SackModule>(mode)));
   }
   if (with_apparmor) {
     apparmor_ = static_cast<apparmor::AppArmorModule*>(

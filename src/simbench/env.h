@@ -32,7 +32,6 @@ struct EnvOptions {
   bool confine_bench_task = true;
   // Replace the default SACK policy with a synthetic one (Table III, Fig 3).
   std::optional<core::SackPolicy> sack_policy;
-  core::RuleSetKind ruleset = core::RuleSetKind::compiled;
 };
 
 class BenchEnv {

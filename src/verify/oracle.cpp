@@ -34,7 +34,7 @@ std::vector<std::string> expected_active_texts(
   return out;
 }
 
-std::vector<std::string> observed_active_texts(const core::RuleSetBase& rs) {
+std::vector<std::string> observed_active_texts(const core::DfaRuleSet& rs) {
   std::vector<std::string> out;
   for (const core::MacRule* rule : rs.active_rules())
     out.push_back(rule->to_text());
@@ -56,12 +56,8 @@ OracleReport run_differential_oracle(const core::SackPolicy& policy,
   OracleReport report;
   ReferenceInterpreter reference(policy);
 
-  core::CompiledRuleSet compiled;
-  (void)compiled.load(policy);
-  core::LinearRuleSet linear;
-  (void)linear.load(policy);
   core::DfaRuleSet dfa;
-  if (options.check_dfa) (void)dfa.load(policy);
+  (void)dfa.load(policy);
   core::AccessVectorCache avc;
 
   // Labels are activation-independent: pre-resolve one per object, exactly
@@ -70,10 +66,8 @@ OracleReport run_differential_oracle(const core::SackPolicy& policy,
   // uncached one in every state.
   const std::uint64_t label_gen = dfa.label_generation();
   std::vector<std::shared_ptr<const core::ObjectLabel>> labels;
-  if (options.check_dfa) {
-    labels.reserve(universe.objects.size());
-    for (const auto& o : universe.objects) labels.push_back(dfa.resolve_label(o));
-  }
+  labels.reserve(universe.objects.size());
+  for (const auto& o : universe.objects) labels.push_back(dfa.resolve_label(o));
 
   auto record = [&report, &options](OracleMismatch m) {
     ++report.mismatches_total;
@@ -83,16 +77,12 @@ OracleReport run_differential_oracle(const core::SackPolicy& policy,
 
   // Structural cross-check: guard predicate over every generated object.
   for (const auto& o : universe.objects) {
-    bool want = reference.guarded(o);
-    if (compiled.guarded(o) != want) {
+    const bool want = reference.guarded(o);
+    const bool got = dfa.guarded(o);
+    if (got != want) {
       record({"guard", "(any)", {}, o, core::MacOp::none,
               want ? Errno::eacces : Errno::ok,
-              compiled.guarded(o) ? Errno::eacces : Errno::ok});
-    }
-    if (options.check_dfa && dfa.guarded(o) != want) {
-      record({"guard(dfa)", "(any)", {}, o, core::MacOp::none,
-              want ? Errno::eacces : Errno::ok,
-              dfa.guarded(o) ? Errno::eacces : Errno::ok});
+              got ? Errno::eacces : Errno::ok});
     }
   }
 
@@ -101,23 +91,12 @@ OracleReport run_differential_oracle(const core::SackPolicy& policy,
     ++report.states_checked;
     ++generation;  // one AVC generation per activation, as the module does
     const auto perms = policy.permissions_of(state.name);
-    compiled.activate(perms);
-    if (options.check_linear) linear.activate(perms);
-    if (options.check_dfa) dfa.activate(perms);
+    dfa.activate(perms);
 
     // Enumeration-hook cross-check: the active rule multiset must be exactly
     // the State_Per ∘ Per_Rules expansion.
-    auto expected = expected_active_texts(policy, perms);
-    if (observed_active_texts(compiled) != expected) {
+    if (observed_active_texts(dfa) != expected_active_texts(policy, perms)) {
       record({"active-set", state.name, {}, "(rule enumeration)",
-              core::MacOp::none, Errno::ok, Errno::einval});
-    }
-    if (options.check_linear && observed_active_texts(linear) != expected) {
-      record({"active-set(linear)", state.name, {}, "(rule enumeration)",
-              core::MacOp::none, Errno::ok, Errno::einval});
-    }
-    if (options.check_dfa && observed_active_texts(dfa) != expected) {
-      record({"active-set(dfa)", state.name, {}, "(rule enumeration)",
               core::MacOp::none, Errno::ok, Errno::einval});
     }
 
@@ -130,41 +109,29 @@ OracleReport run_differential_oracle(const core::SackPolicy& policy,
           ++report.tuples_checked;
           core::AccessQuery q{s.exe, s.profile, o, op};
           Errno want = reference.decide(state.name, q);
-          Errno got = compiled.check(q);
-          if (got != want)
-            record({"compiled", state.name, s, o, op, want, got});
-          if (options.check_dfa) {
-            Errno d = dfa.check(q);
-            if (d != want) record({"dfa", state.name, s, o, op, want, d});
-            Errno dl = dfa.check_labeled(q, *labels[oi], label_gen);
-            if (dl != want)
-              record({"dfa-labeled", state.name, s, o, op, want, dl});
-            batch.push_back(q);
-            batch_want.push_back(want);
-          }
-          if (options.check_linear) {
-            Errno lin = linear.check(q);
-            if (lin != want)
-              record({"linear", state.name, s, o, op, want, lin});
-          }
-          if (options.check_avc) {
-            // The check_op sequence: probe (miss or generation-stale),
-            // insert the computed verdict, re-probe — the hit must serve
-            // exactly what the matcher computed.
-            avc.insert(q, generation, got);
-            auto hit = avc.probe(q, generation);
-            if (!hit.has_value() || *hit != want) {
-              record({"avc", state.name, s, o, op, want,
-                      hit.value_or(Errno::einval)});
-            } else {
-              ++report.avc_hits_verified;
-            }
+          Errno got = dfa.check(q);
+          if (got != want) record({"dfa", state.name, s, o, op, want, got});
+          Errno dl = dfa.check_labeled(q, *labels[oi], label_gen);
+          if (dl != want)
+            record({"dfa-labeled", state.name, s, o, op, want, dl});
+          batch.push_back(q);
+          batch_want.push_back(want);
+          // The check_op sequence: probe (miss or generation-stale), insert
+          // the computed verdict, re-probe — the hit must serve exactly
+          // what the engine computed.
+          avc.insert(q, generation, got);
+          auto hit = avc.probe(q, generation);
+          if (!hit.has_value() || *hit != want) {
+            record({"avc", state.name, s, o, op, want,
+                    hit.value_or(Errno::einval)});
+          } else {
+            ++report.avc_hits_verified;
           }
         }
       }
       // Batch-API cross-check: one check_ops call over every (object, op)
       // pair of this subject must reproduce the scalar verdicts.
-      if (options.check_dfa && !batch.empty()) {
+      if (!batch.empty()) {
         std::vector<Errno> batch_got(batch.size());
         dfa.check_ops(batch, batch_got);
         for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -1,27 +1,24 @@
-// The differential oracle: compiled engines vs the reference interpreter.
+// The differential oracle: the rule engine vs the reference interpreter.
 //
 // Enumerates every (state, subject, object, op) tuple of the generated
-// universe and cross-checks four implementations that must agree on each:
+// universe and checks that the production engine agrees with the spec on
+// each, through every entry point enforcement uses:
 //
-//   reference   the naive spec interpreter (verify/reference.h) — truth;
-//   compiled    CompiledRuleSet: per-op tables, literal hash indexes,
-//               RCU-published snapshots;
-//   dfa         DfaRuleSet: the table-driven automaton matcher (the
-//               production default), checked through check() AND through
-//               the pre-resolved-label path (resolve_label + check_labeled,
-//               the sequence the per-inode cache performs) AND through the
-//               batch check_ops() API;
-//   linear      LinearRuleSet: the unindexed scan (the ablation baseline);
-//   avc         the AccessVectorCache round-trip: miss-probe, insert of the
-//               compiled verdict, then a hit-probe that must return it —
-//               the exact sequence SackModule::check_op performs.
+//   reference     the naive spec interpreter (verify/reference.h) — truth;
+//   dfa           DfaRuleSet::check(), the scalar decision;
+//   dfa-labeled   resolve_label + check_labeled, the sequence the per-inode
+//                 label cache performs;
+//   dfa-batch     the batch check_ops() API;
+//   avc           the AccessVectorCache round-trip: miss-probe, insert of
+//                 the engine's verdict, then a hit-probe that must return it
+//                 — the exact sequence SackModule::check_op performs.
 //
 // On top of the per-tuple sweep the oracle cross-checks structure: the
-// guard-set predicate against the reference definition, and the rule sets'
-// active_rules() enumeration hooks against State_Per ∘ Per_Rules.
+// guard-set predicate against the reference definition, and the engine's
+// active_rules() enumeration hook against State_Per ∘ Per_Rules.
 //
 // Any mismatch is a matcher/compiler/cache regression caught before it
-// ships; PR 1's AVC and snapshot optimizations stay provably equivalent to
+// ships; the AVC and snapshot optimizations stay provably equivalent to
 // the spec as long as this oracle stays green on the shipped policies.
 #pragma once
 
@@ -34,8 +31,7 @@
 namespace sack::verify {
 
 struct OracleMismatch {
-  // "compiled" | "dfa" | "dfa-labeled" | "dfa-batch" | "linear" | "avc" |
-  // "guard" | "guard(dfa)" | "active-set" | "active-set(...)"
+  // "dfa" | "dfa-labeled" | "dfa-batch" | "avc" | "guard" | "active-set"
   std::string engine;
   std::string state;
   SubjectSample subject;
@@ -59,9 +55,6 @@ struct OracleReport {
 
 struct OracleOptions {
   UniverseOptions universe;
-  bool check_avc = true;
-  bool check_linear = true;
-  bool check_dfa = true;
   std::size_t max_mismatches = 32;
 };
 

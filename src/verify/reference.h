@@ -11,9 +11,9 @@
 //                       active deny refuses, a matching active allow
 //                       admits, and nothing matching refuses (POLP).
 //
-// If CompiledRuleSet's snapshots, per-op tables, literal indexes, or the AVC
-// ever disagree with this function on any enumerated tuple, one of them is
-// wrong — and this one is simple enough to audit by eye.
+// If DfaRuleSet's snapshots, automaton, label masks, or the AVC ever
+// disagree with this function on any enumerated tuple, one of them is wrong
+// — and this one is simple enough to audit by eye.
 #pragma once
 
 #include <string>

@@ -11,7 +11,7 @@
 //   3. state-level shadow analysis: allow rules dead under a subsuming deny
 //      *across permissions active in the same reachable state* (the
 //      per-permission case is the checker's);
-//   4. the differential oracle: compiled matcher + AVC vs the reference
+//   4. the differential oracle: the DFA rule engine + AVC vs the reference
 //      interpreter over the enumerated tuple universe.
 //
 // The result is a VerifyReport; `has_errors()` is the CI gate contract.

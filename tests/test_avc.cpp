@@ -266,7 +266,7 @@ TEST(AvcStressTest, ConcurrentChecksRaceActivations) {
   auto parsed = parse_policy(kStressPolicy);
   ASSERT_TRUE(parsed.ok());
 
-  CompiledRuleSet rules;
+  DfaRuleSet rules;
   (void)rules.load(parsed.policy);
   rules.activate({"PA"});
 

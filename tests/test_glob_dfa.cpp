@@ -1,6 +1,6 @@
 // GlobDfa and DfaRuleSet: the table-driven matcher must be byte-for-byte
-// decision-equivalent to the backtracking glob matcher and to the indexed
-// CompiledRuleSet, including under concurrent mask-swap activation.
+// decision-equivalent to the backtracking glob matcher and to the reference
+// interpreter, including under concurrent mask-swap activation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include "util/glob.h"
 #include "util/glob_dfa.h"
 #include "util/rng.h"
+#include "verify/reference.h"
 
 namespace sack::core {
 namespace {
@@ -136,7 +137,7 @@ TEST(GlobDfaFuzz, AgreesWithBacktrackingMatcher) {
   }
 }
 
-// --- DfaRuleSet semantics (mirrors the CompiledRuleSet suites) ---
+// --- DfaRuleSet semantics ---
 
 SackPolicy demo_policy() {
   PolicyBuilder b;
@@ -204,6 +205,9 @@ TEST(DfaRuleSet, ActivationIsMaskSwap) {
   rs.activate({"MEDIA", "DOORS"});
   EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door0", MacOp::ioctl)),
             Errno::ok);
+  // Subject must match.
+  EXPECT_EQ(rs.check(query("/usr/bin/evil", "/dev/door0", MacOp::ioctl)),
+            Errno::eacces);
   EXPECT_EQ(rs.active_rule_count(), 3u);
   const std::uint64_t gen = rs.label_generation();
   rs.activate({"MEDIA"});
@@ -292,12 +296,11 @@ TEST(DfaRuleSet, BatchCheckOpsMatchesScalar) {
     EXPECT_EQ(verdicts[i], rs.check(queries[i])) << i;
 }
 
-TEST(DfaRuleSet, EquivalentToCompiledOnRandomQueries) {
+TEST(DfaRuleSet, EquivalentToReferenceOnRandomQueries) {
   const SackPolicy policy = demo_policy();
   DfaRuleSet dfa;
   (void)dfa.load(policy);
-  CompiledRuleSet compiled;
-  (void)compiled.load(policy);
+  const verify::ReferenceInterpreter reference(policy);
 
   const std::vector<std::vector<std::string>> activations = {
       {}, {"MEDIA"}, {"DOORS"}, {"MEDIA", "DOORS"}};
@@ -310,12 +313,12 @@ TEST(DfaRuleSet, EquivalentToCompiledOnRandomQueries) {
                                   MacOp::exec};
   for (const auto& perms : activations) {
     dfa.activate(perms);
-    compiled.activate(perms);
     for (const auto& exe : exes)
       for (const auto& obj : objects)
         for (MacOp op : ops)
           EXPECT_EQ(dfa.check(query(exe, obj, op)),
-                    compiled.check(query(exe, obj, op)))
+                    reference.decide_with_permissions(perms,
+                                                      query(exe, obj, op)))
               << exe << " " << obj << " op=" << mac_op_name(op);
   }
 }

@@ -1,7 +1,7 @@
 // load_policy failure atomicity: a failed load is a no-op.
 //
-// Whatever the failure mode — parse error, checker rejection, a strict DFA
-// build budget blowout (ENOMEM), or an injected rule-set snapshot failure —
+// Whatever the failure mode — parse error, checker rejection, or an injected
+// rule-set snapshot failure (ENOMEM, EIO) —
 // the module must keep serving exactly the pre-attempt policy: same active
 // snapshot, same policy generation, same rule-set label generation, same AVC
 // contents (still warm, still hitting), same situation state, and — the
@@ -154,21 +154,6 @@ TEST_F(LoadAtomicityTest, CheckerRejectionChangesNothing) {
   const Observables before = observe();
   EXPECT_FALSE(sack_->load_policy_text(kCheckerReject).ok());
   EXPECT_EQ(before, observe());
-}
-
-TEST_F(LoadAtomicityTest, StrictDfaBudgetEnomemChangesNothing) {
-  ASSERT_TRUE(sack_->set_dfa_build_limits(GlobDfa::BuildLimits{2}, true));
-  const Observables before = observe();
-  auto load = sack_->load_policy_text(kPolicyV2);
-  ASSERT_FALSE(load.ok());
-  EXPECT_EQ(load.error(), Errno::enomem);
-  EXPECT_EQ(before, observe());
-
-  // The same text is loadable once the budget is lifted — the rejection was
-  // the budget, not the policy.
-  ASSERT_TRUE(sack_->set_dfa_build_limits(GlobDfa::BuildLimits{}, false));
-  EXPECT_TRUE(sack_->load_policy_text(kPolicyV2).ok());
-  EXPECT_NE(before.policy_generation, sack_->policy_generation());
 }
 
 TEST_F(LoadAtomicityTest, InjectedRulesetLoadFailureChangesNothing) {

@@ -120,8 +120,9 @@ void exercise(const std::string& text) {
   auto ssm = SituationStateMachine::build(parsed.policy);
   if (ssm.ok()) (void)ssm.value().current_name();
 
-  // Rule-set compilation accepts any parsed policy.
-  CompiledRuleSet rules;
+  // Rule-set compilation (DFA build or scan fallback) accepts any parsed
+  // policy.
+  DfaRuleSet rules;
   (void)rules.load(parsed.policy);
   rules.activate(parsed.policy.permissions_of(parsed.policy.initial_state));
   AccessQuery q;

@@ -1,6 +1,6 @@
 // Cross-cutting property tests: parser robustness under fuzzed input,
 // stacking-as-conjunction, and the enforcement model equivalence between the
-// SackModule (full kernel path) and the bare rule set.
+// SackModule (full kernel path) and Algorithm 1 (the reference interpreter).
 #include <gtest/gtest.h>
 
 #include "apparmor/parser.h"
@@ -10,6 +10,7 @@
 #include "kernel/process.h"
 #include "te/te_policy.h"
 #include "util/rng.h"
+#include "verify/reference.h"
 
 namespace sack {
 namespace {
@@ -166,7 +167,7 @@ TEST(StackingProperty, StackedDecisionEqualsConjunction) {
   }
 }
 
-// --- property: the kernel-path decision equals the bare rule-set model ---
+// --- property: the kernel-path decision equals the reference model ---
 
 class ModuleModelEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -209,16 +210,14 @@ TEST_P(ModuleModelEquivalence, FileOpenMatchesRuleSetModel) {
   for (const char* path : concrete) (void)admin.write_file(path, "x");
   ASSERT_TRUE(sack_module->load_policy(policy).ok());
 
-  // Bare model.
-  core::CompiledRuleSet model;
-  (void)model.load(policy);
+  // Algorithm 1, straight from the policy.
+  const verify::ReferenceInterpreter model(policy);
 
   Task& app1 = kernel.spawn_task("app1", Cred::root(), "/bin/app1");
   Task& app2 = kernel.spawn_task("app2", Cred::root(), "/bin/app2");
 
   const char* state = "s0";
   for (int round = 0; round < 30; ++round) {
-    model.activate(policy.permissions_of(state));
     for (Task* task : {&app1, &app2}) {
       for (const char* path : concrete) {
         for (auto [flags, op] :
@@ -228,7 +227,7 @@ TEST_P(ModuleModelEquivalence, FileOpenMatchesRuleSetModel) {
           q.subject_exe = task->exe_path();
           q.object_path = path;
           q.op = op;
-          bool model_allows = model.check(q) == Errno::ok;
+          bool model_allows = model.decide(state, q) == Errno::ok;
           auto fd = kernel.sys_open(*task, path, flags);
           EXPECT_EQ(fd.ok(), model_allows)
               << "state=" << state << " exe=" << task->exe_path()

@@ -1,31 +1,15 @@
-// Rule sets: guarded-object semantics, deny precedence, and the property
-// that the compiled and linear implementations are decision-equivalent.
+// The rule engine against Algorithm 1: profile subjects, and the property
+// that DfaRuleSet — on its table path and on its per-rule scan fallback —
+// decides exactly what the reference interpreter decides.
 #include <gtest/gtest.h>
 
 #include "core/policy_builder.h"
 #include "core/ruleset.h"
 #include "util/rng.h"
+#include "verify/reference.h"
 
 namespace sack::core {
 namespace {
-
-SackPolicy demo_policy() {
-  PolicyBuilder b;
-  b.state("normal", 0)
-      .state("emergency", 1)
-      .initial("normal")
-      .transition("normal", "crash", "emergency")
-      .permission("MEDIA")
-      .permission("DOORS")
-      .grant("normal", "MEDIA")
-      .grant("emergency", "MEDIA")
-      .grant("emergency", "DOORS")
-      .allow("MEDIA", "*", "/var/media/**", MacOp::read)
-      .allow("DOORS", "/usr/bin/rescue", "/dev/door*",
-             MacOp::ioctl | MacOp::write)
-      .deny("DOORS", "*", "/dev/door9", MacOp::ioctl);
-  return b.build();
-}
 
 AccessQuery query(std::string_view exe, std::string_view obj, MacOp op) {
   AccessQuery q;
@@ -35,63 +19,11 @@ AccessQuery query(std::string_view exe, std::string_view obj, MacOp op) {
   return q;
 }
 
-TEST(CompiledRuleSet, UnguardedObjectsAlwaysAllowed) {
-  CompiledRuleSet rs;
-  (void)rs.load(demo_policy());
-  rs.activate({});  // no permissions at all
-  EXPECT_EQ(rs.check(query("/bin/x", "/etc/passwd", MacOp::read)), Errno::ok);
-  EXPECT_EQ(rs.check(query("/bin/x", "/tmp/f", MacOp::write)), Errno::ok);
-  EXPECT_FALSE(rs.guarded("/etc/passwd"));
-  EXPECT_TRUE(rs.guarded("/var/media/track.pcm"));
-  EXPECT_TRUE(rs.guarded("/dev/door0"));
-}
-
-TEST(CompiledRuleSet, GuardedDenyByDefault) {
-  CompiledRuleSet rs;
-  (void)rs.load(demo_policy());
-  rs.activate({"MEDIA"});  // normal state
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door0", MacOp::ioctl)),
-            Errno::eacces);
-  EXPECT_EQ(rs.check(query("/bin/app", "/var/media/t.pcm", MacOp::read)),
-            Errno::ok);
-  // MEDIA grants read only; write to a guarded media file is denied.
-  EXPECT_EQ(rs.check(query("/bin/app", "/var/media/t.pcm", MacOp::write)),
-            Errno::eacces);
-}
-
-TEST(CompiledRuleSet, ActivationFollowsState) {
-  CompiledRuleSet rs;
-  (void)rs.load(demo_policy());
-  rs.activate({"MEDIA", "DOORS"});  // emergency state
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door0", MacOp::ioctl)),
-            Errno::ok);
-  // Subject must match.
-  EXPECT_EQ(rs.check(query("/usr/bin/evil", "/dev/door0", MacOp::ioctl)),
-            Errno::eacces);
-  EXPECT_EQ(rs.active_rule_count(), 3u);
-  rs.activate({"MEDIA"});
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door0", MacOp::ioctl)),
-            Errno::eacces);
-  EXPECT_EQ(rs.active_rule_count(), 1u);
-}
-
-TEST(CompiledRuleSet, DenyBeatsAllow) {
-  CompiledRuleSet rs;
-  (void)rs.load(demo_policy());
-  rs.activate({"DOORS"});
-  // door9 matches both the allow glob and the literal deny.
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door9", MacOp::ioctl)),
-            Errno::eacces);
-  // ...but only for the denied op.
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door9", MacOp::write)),
-            Errno::ok);
-}
-
-TEST(CompiledRuleSet, ProfileSubjectMatching) {
+TEST(DfaRuleSet, ProfileSubjectMatching) {
   PolicyBuilder b;
   b.state("s", 0).initial("s").permission("P").grant("s", "P");
   b.allow("P", "@rescue", "/dev/door*", MacOp::ioctl);
-  CompiledRuleSet rs;
+  DfaRuleSet rs;
   (void)rs.load(b.build());
   rs.activate({"P"});
   AccessQuery q = query("/usr/bin/anything", "/dev/door0", MacOp::ioctl);
@@ -102,20 +34,11 @@ TEST(CompiledRuleSet, ProfileSubjectMatching) {
   EXPECT_EQ(rs.check(q), Errno::eacces);
 }
 
-TEST(LinearRuleSet, MatchesSemantics) {
-  LinearRuleSet rs;
-  (void)rs.load(demo_policy());
-  rs.activate({"MEDIA", "DOORS"});
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door0", MacOp::ioctl)),
-            Errno::ok);
-  EXPECT_EQ(rs.check(query("/usr/bin/rescue", "/dev/door9", MacOp::ioctl)),
-            Errno::eacces);
-  EXPECT_EQ(rs.check(query("/x", "/unguarded", MacOp::read)), Errno::ok);
-  EXPECT_EQ(rs.total_rule_count(), 3u);
-}
-
-// Property: CompiledRuleSet and LinearRuleSet agree on every query, across
-// randomized policies and queries.
+// Property: the compiled engine equals the linear reference scan of
+// Algorithm 1 (verify::ReferenceInterpreter) on every query, across
+// randomized policies, activations and queries, through every decision
+// entry point. The same policy also runs under a two-state DFA budget, so
+// the per-rule scan fallback is held to the same reference.
 class RuleSetEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RuleSetEquivalence, CompiledEqualsLinear) {
@@ -150,12 +73,15 @@ TEST_P(RuleSetEquivalence, CompiledEqualsLinear) {
     }
     perms.push_back(perm);
   }
-  SackPolicy policy = b.build();
+  const SackPolicy policy = b.build();
+  const verify::ReferenceInterpreter reference(policy);
 
-  CompiledRuleSet compiled;
-  LinearRuleSet linear;
-  (void)compiled.load(policy);
-  (void)linear.load(policy);
+  DfaRuleSet table;
+  DfaRuleSet scan(GlobDfa::BuildLimits{2});
+  (void)table.load(policy);
+  (void)scan.load(policy);
+  ASSERT_TRUE(table.table_driven());
+  ASSERT_FALSE(scan.table_driven());
 
   const char* probe_objects[] = {"/a/lit1", "/a/lit2", "/a/other", "/b/file",
                                  "/b/deep/path", "/dev/node3", "/dev/node7",
@@ -170,20 +96,39 @@ TEST_P(RuleSetEquivalence, CompiledEqualsLinear) {
     std::vector<std::string> active;
     for (const auto& p : perms)
       if (rng.chance(0.5)) active.push_back(p);
-    compiled.activate(active);
-    linear.activate(active);
-    ASSERT_EQ(compiled.active_rule_count(), linear.active_rule_count());
+    std::size_t want_active = 0;
+    for (const auto& p : active) want_active += policy.per_rules.at(p).size();
 
-    for (const char* obj : probe_objects) {
-      EXPECT_EQ(compiled.guarded(obj), linear.guarded(obj)) << obj;
-      for (const char* subj : probe_subjects) {
-        for (MacOp op : probe_ops) {
-          auto q = query(subj, obj, op);
-          EXPECT_EQ(compiled.check(q), linear.check(q))
-              << "subject=" << subj << " object=" << obj
-              << " op=" << mac_op_name(op);
+    for (DfaRuleSet* rs : {&table, &scan}) {
+      const char* engine = rs == &table ? "table" : "scan";
+      rs->activate(active);
+      ASSERT_EQ(rs->active_rule_count(), want_active) << engine;
+      const std::uint64_t gen = rs->label_generation();
+
+      std::vector<AccessQuery> batch;
+      std::vector<Errno> batch_want;
+      for (const char* obj : probe_objects) {
+        EXPECT_EQ(rs->guarded(obj), reference.guarded(obj))
+            << engine << " " << obj;
+        const auto label = rs->resolve_label(obj);
+        for (const char* subj : probe_subjects) {
+          for (MacOp op : probe_ops) {
+            const auto q = query(subj, obj, op);
+            const Errno want = reference.decide_with_permissions(active, q);
+            EXPECT_EQ(rs->check(q), want)
+                << engine << " subject=" << subj << " object=" << obj
+                << " op=" << mac_op_name(op);
+            EXPECT_EQ(rs->check_labeled(q, *label, gen), want)
+                << engine << " labeled subject=" << subj << " object=" << obj
+                << " op=" << mac_op_name(op);
+            batch.push_back(q);
+            batch_want.push_back(want);
+          }
         }
       }
+      std::vector<Errno> batch_got(batch.size());
+      rs->check_ops(batch, batch_got);
+      EXPECT_EQ(batch_got, batch_want) << engine << " check_ops";
     }
   }
 }

@@ -349,7 +349,7 @@ TEST(Oracle, PassesOnAllShippedPolicies) {
 
 TEST(Oracle, MismatchRendersAllCoordinates) {
   OracleMismatch m;
-  m.engine = "compiled";
+  m.engine = "dfa-labeled";
   m.state = "emergency";
   m.subject = {"/usr/bin/app", ""};
   m.object = "/dev/vehicle/door0";
@@ -357,7 +357,7 @@ TEST(Oracle, MismatchRendersAllCoordinates) {
   m.reference = Errno::eacces;
   m.observed = Errno::ok;
   auto text = m.to_string();
-  EXPECT_NE(text.find("compiled"), std::string::npos);
+  EXPECT_NE(text.find("dfa-labeled"), std::string::npos);
   EXPECT_NE(text.find("emergency"), std::string::npos);
   EXPECT_NE(text.find("/dev/vehicle/door0"), std::string::npos);
   EXPECT_NE(text.find("write"), std::string::npos);
