@@ -16,6 +16,10 @@ struct Snippet {
   bool accept;
 };
 
+// Names each case after its snippet, so test names stay the same from one
+// build to the next (the default printer would show the raw pointer bytes).
+void PrintTo(const Snippet& s, std::ostream* os) { *os << s.name; }
+
 // --- SACK policy language ---
 
 class SackGrammar : public ::testing::TestWithParam<Snippet> {};

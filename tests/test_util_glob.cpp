@@ -130,6 +130,12 @@ struct GlobCase {
   bool expect;
 };
 
+// Names each case by its pattern and path, so test names stay the same from
+// one build to the next (the default printer would show the raw pointer bytes).
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << c.pattern << (c.expect ? " matches " : " misses ") << c.path;
+}
+
 class GlobTableTest : public ::testing::TestWithParam<GlobCase> {};
 
 TEST_P(GlobTableTest, MatchesAsExpected) {
